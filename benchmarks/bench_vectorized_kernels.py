@@ -10,8 +10,13 @@ aligned workload and asserts:
   bytes, same duplicate marks and stats;
 * **the speedup shape**: the vectorized pileup must be at least 5x
   faster than the scalar dict-of-Counter reference (CI's perf-smoke job
-  runs this file, so a silent fallback to the scalar path fails the
-  build).
+  runs this file, so a fast path that regresses to scalar speed fails
+  the build).
+
+The scalar arms call the references by name: ``pileup_dataset`` +
+``call_from_pileup``, ``mark_duplicates_reference``, and ``sort_dataset``
+with ``row_sort_permutation`` patched to report unpackable keys, which
+sends every run sort to its ``list.sort`` fallback.
 
 Related work anchors the expectation: BioWorkbench attributes its wins
 to eliminating interpreter-bound inner loops, and Argyropoulos 2024
@@ -25,8 +30,13 @@ import time
 
 import pytest
 
+from repro.core import sort as sort_mod
 from repro.core.columnar import call_from_pileup_arrays
-from repro.core.dupmark import DupmarkStats, mark_duplicates
+from repro.core.dupmark import (
+    DupmarkStats,
+    mark_duplicates,
+    mark_duplicates_reference,
+)
 from repro.core.pipelines import align_dataset
 from repro.core.sort import SortConfig, sort_dataset
 from repro.core.subgraphs import AlignGraphConfig
@@ -107,14 +117,16 @@ def test_vectorized_sort_and_partitioned_merge(benchmark, aligned_world,
     dataset = aligned_world
 
     scalar_store = MemoryStore()
-    _, scalar_s = _timed(lambda: sort_dataset(
-        dataset, scalar_store,
-        SortConfig(chunks_per_superchunk=4, vectorized=False),
-    ), repeats=3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sort_mod, "row_sort_permutation", lambda *args: None)
+        _, scalar_s = _timed(lambda: sort_dataset(
+            dataset, scalar_store,
+            SortConfig(chunks_per_superchunk=4, merge_partitions=1),
+        ), repeats=3)
     vector_store = MemoryStore()
     _, vector_s = _timed(lambda: sort_dataset(
         dataset, vector_store,
-        SortConfig(chunks_per_superchunk=4, vectorized=True),
+        SortConfig(chunks_per_superchunk=4),
     ), repeats=3)
     # Partitioned phase-2 merge: >= 2 merge kernels through the backend.
     with SerialBackend() as backend:
@@ -183,15 +195,15 @@ def test_vectorized_dupmark_speedup(benchmark, aligned_world, report):
     scalar_ds = fresh_copy()
     scalar_stats = DupmarkStats()
     _, scalar_s = _timed(
-        lambda: mark_duplicates(scalar_ds, DupmarkStats(), vectorized=False),
+        lambda: mark_duplicates_reference(scalar_ds, DupmarkStats()),
         repeats=2)
-    mark_duplicates(scalar_ds, scalar_stats, vectorized=False)
+    mark_duplicates_reference(scalar_ds, scalar_stats)
     vector_ds = fresh_copy()
     vector_stats = DupmarkStats()
     _, vector_s = _timed(
-        lambda: mark_duplicates(vector_ds, DupmarkStats(), vectorized=True),
+        lambda: mark_duplicates(vector_ds, DupmarkStats()),
         repeats=2)
-    mark_duplicates(vector_ds, vector_stats, vectorized=True)
+    mark_duplicates(vector_ds, vector_stats)
 
     scalar_blobs = {k: scalar_ds.store.get(k) for k in scalar_ds.store.keys()}
     vector_blobs = {k: vector_ds.store.get(k) for k in vector_ds.store.keys()}

@@ -180,7 +180,6 @@ def _cmd_sort(args: argparse.Namespace) -> int:
                 chunks_per_superchunk=args.superchunk,
                 output_codec_level=args.codec_level,
                 merge_partitions=args.merge_partitions,
-                vectorized=args.kernels == "vectorized",
                 raw_scratch=_raw_scratch_arg(args),
             ),
             scratch_store=(DirectoryStore(args.scratch_dir)
@@ -206,8 +205,7 @@ def _cmd_dupmark(args: argparse.Namespace) -> int:
     backend = _make_cli_backend(args)
     start = time.monotonic()
     try:
-        stats = mark_duplicates(dataset, backend=backend,
-                                vectorized=args.kernels == "vectorized")
+        stats = mark_duplicates(dataset, backend=backend)
     finally:
         if backend is not None:
             backend.shutdown()
@@ -229,8 +227,7 @@ def _cmd_varcall(args: argparse.Namespace) -> int:
     reference = read_fasta(args.reference)
     backend = _make_cli_backend(args)
     try:
-        variants = call_variants(dataset, reference, backend=backend,
-                                 vectorized=args.kernels == "vectorized")
+        variants = call_variants(dataset, reference, backend=backend)
     finally:
         if backend is not None:
             backend.shutdown()
@@ -302,89 +299,96 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
             output_dir=args.output_dir,
             filter_dir=args.filter_dir,
         )
-        outcome = run_pipeline(
-            dataset,
-            stages,
-            aligner=aligner,
-            reference=reference,
-            align_config=AlignGraphConfig(
-                executor_threads=args.workers,
-                aligner_nodes=max(1, args.workers // 2),
-            ),
-            sort_config=SortConfig(
-                order=args.order,
-                chunks_per_superchunk=args.superchunk,
-                output_codec_level=args.codec_level,
-                merge_partitions=args.merge_partitions,
-                raw_scratch=_raw_scratch_arg(args),
-            ),
-            filter_predicate=(by_min_mapq(args.min_mapq)
-                              if args.min_mapq is not None else None),
-            output_store=output_store,
-            filter_store=filter_store,
-            scratch_store=(DirectoryStore(args.scratch_dir)
-                           if args.scratch_dir else None),
-            backend=args.backend,
-            workers=args.workers,
-            batch_size=args.batch_size,
-            session_timeout=args.timeout,
-            vectorized=args.kernels == "vectorized",
-            autotune_queues=args.autotune_queues,
-            tune_path=(args.tune_cache if args.autotune_queues else None),
-            shm=args.shm,
-            ledger=ledger,
-        )
     except ValueError as exc:
-        # Stage-composition errors (order, duplicates, missing results
-        # column, ...) are user input errors, same class as unknown
-        # stage names above.
         print(str(exc), file=sys.stderr)
         return 2
-    if "align" in stages:
-        dataset.save_manifest(args.dataset_dir)
-    if outcome.sorted_dataset is not None:
-        outcome.sorted_dataset.save_manifest(args.output_dir)
-    print(
-        f"pipeline [{' -> '.join(stages)}] over {outcome.total_reads} "
-        f"reads ({outcome.chunks} chunks) in {outcome.wall_seconds:.2f}s "
-        f"[{args.backend} backend, one graph]"
-    )
-    for stage in outcome.stages:
+    try:
+        try:
+            outcome = run_pipeline(
+                dataset,
+                stages,
+                aligner=aligner,
+                reference=reference,
+                align_config=AlignGraphConfig(
+                    executor_threads=args.workers,
+                    aligner_nodes=max(1, args.workers // 2),
+                ),
+                sort_config=SortConfig(
+                    order=args.order,
+                    chunks_per_superchunk=args.superchunk,
+                    output_codec_level=args.codec_level,
+                    merge_partitions=args.merge_partitions,
+                    raw_scratch=_raw_scratch_arg(args),
+                ),
+                filter_predicate=(by_min_mapq(args.min_mapq)
+                                  if args.min_mapq is not None else None),
+                output_store=output_store,
+                filter_store=filter_store,
+                scratch_store=(DirectoryStore(args.scratch_dir)
+                               if args.scratch_dir else None),
+                backend=args.backend,
+                workers=args.workers,
+                batch_size=args.batch_size,
+                session_timeout=args.timeout,
+                autotune_queues=args.autotune_queues,
+                tune_path=(args.tune_cache if args.autotune_queues
+                           else None),
+                shm=args.shm,
+                ledger=ledger,
+            )
+        except ValueError as exc:
+            # Stage-composition errors (order, duplicates, missing
+            # results column, a refused resume, ...) are user input
+            # errors, same class as unknown stage names above.
+            print(str(exc), file=sys.stderr)
+            return 2
+        if "align" in stages:
+            dataset.save_manifest(args.dataset_dir)
+        if outcome.sorted_dataset is not None:
+            outcome.sorted_dataset.save_manifest(args.output_dir)
         print(
-            f"  {stage.name:<8} busy {stage.busy_seconds:8.3f}s  "
-            f"wait {stage.wait_seconds:8.3f}s  "
-            f"{stage.records_per_second:>12,.0f} records/s"
+            f"pipeline [{' -> '.join(stages)}] over {outcome.total_reads} "
+            f"reads ({outcome.chunks} chunks) in "
+            f"{outcome.wall_seconds:.2f}s [{args.backend} backend, one graph]"
         )
-    if outcome.report.get("autotuned_queues"):
-        source = ("the persisted tune sidecar"
-                  if outcome.report.get("autotune_cache") == "hit"
-                  else "the probe run's depth traces")
-        print(f"  autotuned {len(outcome.report['autotuned_queues'])} "
-              f"queue capacities from {source}")
-    if outcome.dupmark_stats is not None:
-        print(f"  duplicates marked: "
-              f"{outcome.dupmark_stats.duplicates_marked}")
-    if outcome.filter_stats is not None:
-        print(f"  filter kept {outcome.filter_stats.kept} of "
-              f"{outcome.filter_stats.examined} records "
-              f"(mapq >= {args.min_mapq})")
-        if args.filter_dir:
-            outcome.filtered_dataset.save_manifest(args.filter_dir)
-            print(f"  filtered dataset -> {args.filter_dir}")
-    if outcome.variants is not None:
-        if args.vcf:
-            count = write_vcf(outcome.variants, args.vcf,
-                              contigs=reference.manifest_entry())
-            print(f"  called {count} variants -> {args.vcf}")
-        else:
-            print(f"  called {len(outcome.variants)} variants "
-                  f"(pass --vcf to write them)")
-    if outcome.sorted_dataset is not None:
-        print(f"  sorted dataset -> {args.output_dir}")
-    if ledger is not None:
-        _print_ledger_summary(ledger)
-        ledger.close()
-    return 0
+        for stage in outcome.stages:
+            print(
+                f"  {stage.name:<8} busy {stage.busy_seconds:8.3f}s  "
+                f"wait {stage.wait_seconds:8.3f}s  "
+                f"{stage.records_per_second:>12,.0f} records/s"
+            )
+        if outcome.report.get("autotuned_queues"):
+            source = ("the persisted tune sidecar"
+                      if outcome.report.get("autotune_cache") == "hit"
+                      else "the probe run's depth traces")
+            print(f"  autotuned {len(outcome.report['autotuned_queues'])} "
+                  f"queue capacities from {source}")
+        if outcome.dupmark_stats is not None:
+            print(f"  duplicates marked: "
+                  f"{outcome.dupmark_stats.duplicates_marked}")
+        if outcome.filter_stats is not None:
+            print(f"  filter kept {outcome.filter_stats.kept} of "
+                  f"{outcome.filter_stats.examined} records "
+                  f"(mapq >= {args.min_mapq})")
+            if args.filter_dir:
+                outcome.filtered_dataset.save_manifest(args.filter_dir)
+                print(f"  filtered dataset -> {args.filter_dir}")
+        if outcome.variants is not None:
+            if args.vcf:
+                count = write_vcf(outcome.variants, args.vcf,
+                                  contigs=reference.manifest_entry())
+                print(f"  called {count} variants -> {args.vcf}")
+            else:
+                print(f"  called {len(outcome.variants)} variants "
+                      f"(pass --vcf to write them)")
+        if outcome.sorted_dataset is not None:
+            print(f"  sorted dataset -> {args.output_dir}")
+        if ledger is not None:
+            _print_ledger_summary(ledger)
+        return 0
+    finally:
+        if ledger is not None:
+            ledger.close()
 
 
 def _parse_host_port(spec: str) -> "tuple[str, int]":
@@ -487,92 +491,92 @@ def _cmd_cluster_run(args: argparse.Namespace) -> int:
             return DirectoryStore(scratch_root / server)
 
     try:
-        outcome = run_placed_pipeline(
-            dataset,
-            plan,
-            aligner=aligner,
-            reference=reference,
-            sort_config=SortConfig(order=args.order,
-                                   chunks_per_superchunk=args.superchunk,
-                                   raw_scratch=_raw_scratch_arg(args)),
-            filter_predicate=_cluster_filter_predicate(args, stages),
-            output_store=(DirectoryStore(args.output_dir)
-                          if args.output_dir else None),
-            filter_store=(DirectoryStore(args.filter_dir)
-                          if args.filter_dir else None),
-            scratch_store_factory=scratch_factory,
-            backend=args.backend,
-            workers=args.workers,
-            batch_size=args.batch_size,
-            transport=args.transport,
-            host=args.host,
-            port=args.port,
-            edge_capacity=args.edge_capacity,
-            autotune_edges=args.autotune_edges,
-            broker_shm=args.broker_shm,
-            session_timeout=args.timeout,
-            vectorized=args.kernels == "vectorized",
-            ledger=ledger,
-            delivery_deadline=args.delivery_deadline,
-            max_redeliveries=args.max_redeliveries,
-            on_poison=args.on_poison,
-            spill_dir=args.spill_dir,
-            spill_watermark=args.spill_watermark,
+        try:
+            outcome = run_placed_pipeline(
+                dataset,
+                plan,
+                aligner=aligner,
+                reference=reference,
+                sort_config=SortConfig(order=args.order,
+                                       chunks_per_superchunk=args.superchunk,
+                                       raw_scratch=_raw_scratch_arg(args)),
+                filter_predicate=_cluster_filter_predicate(args, stages),
+                output_store=(DirectoryStore(args.output_dir)
+                              if args.output_dir else None),
+                filter_store=(DirectoryStore(args.filter_dir)
+                              if args.filter_dir else None),
+                scratch_store_factory=scratch_factory,
+                backend=args.backend,
+                workers=args.workers,
+                batch_size=args.batch_size,
+                transport=args.transport,
+                host=args.host,
+                port=args.port,
+                edge_capacity=args.edge_capacity,
+                autotune_edges=args.autotune_edges,
+                broker_shm=args.broker_shm,
+                session_timeout=args.timeout,
+                ledger=ledger,
+                delivery_deadline=args.delivery_deadline,
+                max_redeliveries=args.max_redeliveries,
+                on_poison=args.on_poison,
+                spill_dir=args.spill_dir,
+                spill_watermark=args.spill_watermark,
+            )
+        except PoisonChunkError as exc:
+            print(f"poison chunk {exc.key!r} exhausted its redeliveries on "
+                  f"edge {exc.edge!r} (--on-poison fail)", file=sys.stderr)
+            return 1
+        if "align" in stages:
+            dataset.save_manifest(args.dataset_dir)
+        if outcome.sorted_dataset is not None:
+            outcome.sorted_dataset.save_manifest(args.output_dir)
+        total_chunks = sum(s.chunks for s in outcome.servers)
+        print(
+            f"placed pipeline [{' -> '.join(stages)}] across "
+            f"{len(outcome.servers)} servers ({args.transport} transport) "
+            f"in {outcome.wall_seconds:.2f}s"
         )
-    except PoisonChunkError as exc:
-        print(f"poison chunk {exc.key!r} exhausted its redeliveries on "
-              f"edge {exc.edge!r} (--on-poison fail)", file=sys.stderr)
+        if outcome.autotuned_edges:
+            print(f"  autotuned {len(outcome.autotuned_edges)} broker edge "
+                  f"capacities from the probe run's depth stats")
+        for server in outcome.servers:
+            marker = " [KILLED]" if server.killed else ""
+            print(f"  {server.server:<10} {','.join(server.stages):<28} "
+                  f"{server.chunks:>4} chunks  {server.records:>7} records  "
+                  f"{server.wall_seconds:7.2f}s{marker}")
+        print(f"  {total_chunks} chunk completions, "
+              f"{outcome.total_redelivered} redelivered, imbalance "
+              f"{outcome.completion_imbalance:.2f}x")
+        if outcome.quarantined:
+            print(f"  run completed DEGRADED: {outcome.total_quarantined} "
+                  f"chunk(s) quarantined")
+            _print_quarantined(outcome.quarantined)
+        if outcome.dupmark_stats is not None:
+            print(f"  duplicates marked: "
+                  f"{outcome.dupmark_stats.duplicates_marked}")
+        if outcome.filter_stats is not None:
+            print(f"  filter kept {outcome.filter_stats.kept} of "
+                  f"{outcome.filter_stats.examined} records "
+                  f"(mapq >= {args.min_mapq})")
+            if args.filter_dir:
+                outcome.filtered_dataset.save_manifest(args.filter_dir)
+                print(f"  filtered dataset -> {args.filter_dir}")
+        if outcome.variants is not None and args.vcf:
+            count = write_vcf(outcome.variants, args.vcf,
+                              contigs=reference.manifest_entry())
+            print(f"  called {count} variants -> {args.vcf}")
+        elif outcome.variants is not None:
+            print(f"  called {len(outcome.variants)} variants "
+                  f"(pass --vcf to write them)")
+        if outcome.sorted_dataset is not None:
+            print(f"  sorted dataset -> {args.output_dir}")
+        if ledger is not None:
+            _print_ledger_summary(ledger)
+        return 0
+    finally:
         if ledger is not None:
             ledger.close()
-        return 1
-    if "align" in stages:
-        dataset.save_manifest(args.dataset_dir)
-    if outcome.sorted_dataset is not None:
-        outcome.sorted_dataset.save_manifest(args.output_dir)
-    total_chunks = sum(s.chunks for s in outcome.servers)
-    print(
-        f"placed pipeline [{' -> '.join(stages)}] across "
-        f"{len(outcome.servers)} servers ({args.transport} transport) "
-        f"in {outcome.wall_seconds:.2f}s"
-    )
-    if outcome.autotuned_edges:
-        print(f"  autotuned {len(outcome.autotuned_edges)} broker edge "
-              f"capacities from the probe run's depth stats")
-    for server in outcome.servers:
-        marker = " [KILLED]" if server.killed else ""
-        print(f"  {server.server:<10} {','.join(server.stages):<28} "
-              f"{server.chunks:>4} chunks  {server.records:>7} records  "
-              f"{server.wall_seconds:7.2f}s{marker}")
-    print(f"  {total_chunks} chunk completions, "
-          f"{outcome.total_redelivered} redelivered, imbalance "
-          f"{outcome.completion_imbalance:.2f}x")
-    if outcome.quarantined:
-        print(f"  run completed DEGRADED: {outcome.total_quarantined} "
-              f"chunk(s) quarantined")
-        _print_quarantined(outcome.quarantined)
-    if outcome.dupmark_stats is not None:
-        print(f"  duplicates marked: "
-              f"{outcome.dupmark_stats.duplicates_marked}")
-    if outcome.filter_stats is not None:
-        print(f"  filter kept {outcome.filter_stats.kept} of "
-              f"{outcome.filter_stats.examined} records "
-              f"(mapq >= {args.min_mapq})")
-        if args.filter_dir:
-            outcome.filtered_dataset.save_manifest(args.filter_dir)
-            print(f"  filtered dataset -> {args.filter_dir}")
-    if outcome.variants is not None and args.vcf:
-        count = write_vcf(outcome.variants, args.vcf,
-                          contigs=reference.manifest_entry())
-        print(f"  called {count} variants -> {args.vcf}")
-    elif outcome.variants is not None:
-        print(f"  called {len(outcome.variants)} variants "
-              f"(pass --vcf to write them)")
-    if outcome.sorted_dataset is not None:
-        print(f"  sorted dataset -> {args.output_dir}")
-    if ledger is not None:
-        _print_ledger_summary(ledger)
-        ledger.close()
-    return 0
 
 
 def _cmd_cluster_broker(args: argparse.Namespace) -> int:
@@ -731,7 +735,6 @@ def _cmd_cluster_worker(args: argparse.Namespace) -> int:
         filter_store=(DirectoryStore(args.filter_dir)
                       if args.filter_dir else None),
         backend_obj=backend_obj,
-        vectorized=args.kernels == "vectorized",
     )
     print(f"worker {args.server!r} running [{','.join(placement.stages)}] "
           f"against broker {host}:{port}")
@@ -978,19 +981,11 @@ def _add_backend_options(
         )
 
 
-def _add_kernel_options(
+def _add_sort_options(
     p: argparse.ArgumentParser,
     with_merge_partitions: bool = False,
 ) -> None:
-    """Attach the columnar fast-path flags to a subcommand."""
-    p.add_argument(
-        "--kernels",
-        choices=("vectorized", "scalar"),
-        default="vectorized",
-        help="compute kernel implementation: the numpy columnar fast "
-             "path (default) or the scalar reference path (identical "
-             "output, used for equivalence testing)",
-    )
+    """Attach the external-sort flags to a sort-running subcommand."""
     p.add_argument(
         "--raw-scratch",
         choices=("auto", "on", "off"),
@@ -1145,14 +1140,13 @@ def build_parser() -> argparse.ArgumentParser:
              "see --raw-scratch)",
     )
     _add_backend_options(p, default="serial", with_workers=True)
-    _add_kernel_options(p, with_merge_partitions=True)
+    _add_sort_options(p, with_merge_partitions=True)
     _add_codec_level_option(p, "the sorted output chunks")
     p.set_defaults(fn=_cmd_sort)
 
     p = sub.add_parser("dupmark", help="mark duplicate reads in place")
     p.add_argument("dataset_dir")
     _add_backend_options(p, default="serial", with_workers=True)
-    _add_kernel_options(p)
     p.set_defaults(fn=_cmd_dupmark)
 
     p = sub.add_parser("varcall", help="call variants to VCF")
@@ -1160,7 +1154,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output")
     p.add_argument("--reference", required=True)
     _add_backend_options(p, default="serial", with_workers=True)
-    _add_kernel_options(p)
     p.set_defaults(fn=_cmd_varcall)
 
     p = sub.add_parser(
@@ -1221,7 +1214,7 @@ def build_parser() -> argparse.ArgumentParser:
              "budget is shared by every fused stage)",
     )
     _add_backend_options(p, with_workers=True)
-    _add_kernel_options(p, with_merge_partitions=True)
+    _add_sort_options(p, with_merge_partitions=True)
     _add_codec_level_option(p, "the sorted output chunks")
     _add_ledger_options(p)
     p.set_defaults(fn=_cmd_pipeline)
@@ -1252,7 +1245,7 @@ def build_parser() -> argparse.ArgumentParser:
         cp.add_argument("--timeout", type=float, default=600.0,
                         help="per-server session deadline in seconds")
         _add_backend_options(cp, default="serial", with_workers=True)
-        _add_kernel_options(cp)
+        _add_sort_options(cp)
 
     def _add_fault_options(cp) -> None:
         cp.add_argument("--delivery-deadline", type=_delivery_deadline,

@@ -250,7 +250,6 @@ def run_placed_pipeline(
     wire_codec: str = "none",
     broker_shm: "bool | None" = None,
     session_timeout: "float | None" = 600.0,
-    vectorized: bool = True,
     ledger=None,
     delivery_deadline="auto",
     max_redeliveries: int = 4,
@@ -325,7 +324,6 @@ def run_placed_pipeline(
             wire_codec=wire_codec,
             broker_shm=broker_shm,
             session_timeout=session_timeout,
-            vectorized=vectorized,
             delivery_deadline=delivery_deadline,
             max_redeliveries=max_redeliveries,
             on_poison=on_poison,
@@ -360,7 +358,7 @@ def run_placed_pipeline(
         bind_run_config(
             ledger, manifest, plan.stages,
             backend=backend_name, workers=workers, transport=transport,
-            vectorized=vectorized, plan=plan.to_doc(),
+            plan=plan.to_doc(),
         )
     if aligner_factory is None:
         def aligner_factory(server):  # noqa: ARG001 - uniform signature
@@ -494,7 +492,6 @@ def run_placed_pipeline(
             filter_predicate=filter_predicate,
             sort_store=sort_store,
             filter_store=filter_out,
-            vectorized=vectorized,
             ledger=ledger,
         )
 
@@ -722,7 +719,6 @@ def join_placed_worker(
     wire_codec: str = "none",
     broker_shm: "bool | None" = None,
     session_timeout: "float | None" = 600.0,
-    vectorized: bool = True,
 ) -> PlacedServerOutcome:
     """Attach a NEW worker to a placed pipeline that is already running.
 
@@ -777,7 +773,6 @@ def join_placed_worker(
             align_config=align_config,
             align_results_store=align_results_store,
             backend_obj=backend_obj,
-            vectorized=vectorized,
         )
         try:
             Session(graph.pipeline.graph).run(timeout=session_timeout)

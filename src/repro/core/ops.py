@@ -172,8 +172,7 @@ class AlignerNode(Node):
     queue."
 
     The backend (serial, thread, or process) comes from the session
-    resource registry; a legacy raw :class:`Executor` resource is
-    adapted transparently.
+    resource registry.
     """
 
     def __init__(
@@ -744,7 +743,6 @@ class SortRunNode(Node):
         chunks_per_superchunk: int = 4,
         name: str = "sort_runs",
         scratch_codec_level: "int | None" = None,
-        vectorized: bool = True,
         merge_partitions: int = 1,
         raw_scratch: "bool | None" = None,
     ):
@@ -769,9 +767,8 @@ class SortRunNode(Node):
         if raw_scratch is None:
             raw_scratch = local_scratch_root(scratch) is not None
         self.scratch_codec_name = "none" if raw_scratch else "gzip"
-        self.vectorized = vectorized
         self.merge_partitions = merge_partitions
-        self._spill_partitions = merge_partitions if vectorized else 1
+        self._spill_partitions = merge_partitions
         self._boundaries = None
         self._rows: list = []
         self._chunks_buffered = 0
@@ -832,7 +829,7 @@ class SortRunNode(Node):
         # of this kernel running concurrently.
         [rows] = backend.run_chunk(
             sort_rows_task,
-            [(self.order, self._rows, self.vectorized, meta_index)],
+            [(self.order, self._rows, meta_index)],
             shared=ctx.resources,
         )
         spill = encode_run_spill(
@@ -995,7 +992,6 @@ class DupmarkNode(Node):
         subchunk_size: int = 512,
         name: str = "dupmark",
         stats: "object | None" = None,
-        vectorized: bool = True,
     ):
         from repro.core.columnar import DuplicateTracker
         from repro.core.dupmark import DupmarkStats
@@ -1006,14 +1002,16 @@ class DupmarkNode(Node):
         self.store = store
         self.backend_handle = backend_handle
         self.subchunk_size = subchunk_size
-        self.vectorized = vectorized
         # Not ``stats`` — that's the base Node's runtime NodeStats.
         self.dup_stats = stats if stats is not None else DupmarkStats()
-        self._seen: set = set()
         self._tracker = DuplicateTracker()
 
     def _scan(self, records, ctx: NodeContext) -> "list[int]":
         """Signature extraction (fanned out) + the sequential seen pass."""
+        import numpy as np
+
+        from repro.core.columnar import results_signature_arrays_task
+
         backend = ctx.backend(self.backend_handle)
         # Subchunk payloads so signature extraction fans out across the
         # backend's workers (one payload per chunk would serialize it).
@@ -1021,30 +1019,14 @@ class DupmarkNode(Node):
             records[start:start + self.subchunk_size]
             for start in range(0, len(records), self.subchunk_size)
         ]
-        if self.vectorized:
-            import numpy as np
-
-            from repro.core.columnar import results_signature_arrays_task
-
-            parts = backend.run_chunk(
-                results_signature_arrays_task, payloads,
-                shared=ctx.resources,
-            )
-            if not parts:
-                return []
-            sig_arr = np.concatenate([p[0] for p in parts])
-            valid = np.concatenate([p[1] for p in parts])
-            return self._tracker.scan(sig_arr, valid, self.dup_stats)
-        from repro.core.dupmark import results_signatures_task, scan_signatures
-
-        sigs = [
-            sig
-            for sub in backend.run_chunk(
-                results_signatures_task, payloads, shared=ctx.resources
-            )
-            for sig in sub
-        ]
-        return scan_signatures(sigs, self._seen, self.dup_stats)
+        parts = backend.run_chunk(
+            results_signature_arrays_task, payloads, shared=ctx.resources,
+        )
+        if not parts:
+            return []
+        sig_arr = np.concatenate([p[0] for p in parts])
+        valid = np.concatenate([p[1] for p in parts])
+        return self._tracker.scan(sig_arr, valid, self.dup_stats)
 
     def process(self, item: ChunkWorkItem, ctx: NodeContext):
         from repro.agd.records import record_type_for_column
@@ -1080,6 +1062,11 @@ class VarCallNode(Node):
     :meth:`finalize` applies the calling thresholds in one sorted sweep.
     Variants land in :attr:`variants`.  Terminal when unwired; passes
     items through when something is downstream.
+
+    Pileups run on the columnar kernels until a chunk raises
+    :class:`~repro.core.columnar.ColumnarFallback` (base bytes or
+    coverage the array encoding cannot represent); from then on the node
+    piles up with the scalar reference for the rest of the run.
     """
 
     def __init__(
@@ -1089,7 +1076,6 @@ class VarCallNode(Node):
         backend_handle: str = "executor",
         subchunk_size: int = 512,
         name: str = "varcall",
-        vectorized: bool = True,
     ):
         from collections import defaultdict
 
@@ -1102,7 +1088,8 @@ class VarCallNode(Node):
         self.config = config if config is not None else VarCallConfig()
         self.backend_handle = backend_handle
         self.subchunk_size = subchunk_size
-        self.vectorized = vectorized
+        # Set once a chunk falls outside the columnar encoding.
+        self._scalar = False
         self._columns: dict = defaultdict(PileupColumn)
         self._pile: dict = {}
         self.variants: "list | None" = None
@@ -1124,7 +1111,7 @@ class VarCallNode(Node):
         ]
         backend = ctx.backend(self.backend_handle)
         chunk_done = False
-        if self.vectorized:
+        if not self._scalar:
             from repro.core.columnar import (
                 ColumnarFallback,
                 merge_pileup_partials,
@@ -1160,17 +1147,15 @@ class VarCallNode(Node):
         """Switch to the scalar reference mid-stream (input the columnar
         encoding cannot represent); accumulated partials convert over,
         so nothing already piled is lost or double-counted."""
-        if not self.vectorized:
-            return
         from repro.core.columnar import pileup_to_columns
         from repro.core.varcall import merge_pileups
 
-        self.vectorized = False
+        self._scalar = True
         merge_pileups(self._columns, pileup_to_columns(self._pile))
         self._pile = {}
 
     def finalize(self, ctx: NodeContext):
-        if self.vectorized:
+        if not self._scalar:
             from repro.core.columnar import call_from_pileup_arrays
 
             self.variants = call_from_pileup_arrays(

@@ -397,7 +397,6 @@ def _build_stage_graph(
     filter_store: "ChunkStore | None" = None,
     scratch_store: "ChunkStore | None" = None,
     backend_obj: "Backend | None" = None,
-    vectorized: bool = True,
     name_queue: "Queue | None" = None,
     varcall_passthrough: bool = False,
     align_results_store: "ChunkStore | None" = None,
@@ -446,15 +445,6 @@ def _build_stage_graph(
             )
         return built
     if stage == "sort":
-        # A caller-supplied SortConfig keeps its own vectorized choice;
-        # the pipeline-wide flag fills the default and acts as a
-        # force-scalar master switch.
-        if sort_config is None:
-            stage_sort_config = SortConfig(vectorized=vectorized)
-        elif not vectorized and sort_config.vectorized:
-            stage_sort_config = replace(sort_config, vectorized=False)
-        else:
-            stage_sort_config = sort_config
         stage_sort_store = sort_store
         if ledger is not None and sort_store is not None:
             stage_sort_store = JournaledStore(
@@ -464,7 +454,7 @@ def _build_stage_graph(
             manifest,
             stage_sort_store,
             input_store=dataset.store if head else None,
-            config=stage_sort_config,
+            config=sort_config,
             columns=(sorted(set(manifest.columns) | {"results"})
                      if "align" in stages else None),
             scratch_store=scratch_store,
@@ -505,7 +495,6 @@ def _build_stage_graph(
             from_queue=not head,
             columns=columns,
             backend=backend_obj,
-            vectorized=vectorized,
             name_queue=name_queue if head else None,
             missing_ok=missing_ok,
         )
@@ -542,7 +531,6 @@ def _build_stage_graph(
             input_store=dataset.store if head else None,
             config=varcall_config,
             backend=backend_obj,
-            vectorized=vectorized,
             name_queue=name_queue if head else None,
             passthrough=varcall_passthrough,
         )
@@ -567,7 +555,6 @@ def run_pipeline(
     batch_size: "int | None" = None,
     session_timeout: "float | None" = None,
     name: str = "pipeline",
-    vectorized: bool = True,
     queue_sample_interval: "float | None" = 0.02,
     queue_capacities: "dict[str, int] | None" = None,
     autotune_queues: bool = False,
@@ -605,10 +592,7 @@ def run_pipeline(
     single-stage calls, one budget here covers every fused stage, so a
     fixed cap would abort workloads whose individual stages are fine.
 
-    ``vectorized`` selects the columnar numpy fast path for the sort,
-    dupmark, and varcall kernels (the default; False runs the scalar
-    reference path — outputs are identical).  ``queue_sample_interval``
-    samples every queue's depth on that period during the run; the
+    ``queue_sample_interval`` samples every queue's depth on that period during the run; the
     per-stage traces land in ``report["queue_trace"]`` and each stage's
     ``stage_report`` entry (§4.6's "current queue states").  None
     disables sampling.
@@ -645,8 +629,7 @@ def run_pipeline(
             else getattr(backend, "name", type(backend).__name__)
         bind_run_config(
             ledger, dataset.manifest, stages,
-            backend=backend_name, workers=workers, vectorized=vectorized,
-            shm=shm,
+            backend=backend_name, workers=workers, shm=shm,
         )
     kwargs = dict(
         aligner=aligner,
@@ -663,7 +646,6 @@ def run_pipeline(
         batch_size=batch_size,
         session_timeout=session_timeout,
         name=name,
-        vectorized=vectorized,
         queue_sample_interval=queue_sample_interval,
         shm=shm,
         ledger=ledger,
@@ -725,7 +707,6 @@ def _run_pipeline_once(
     batch_size: "int | None" = None,
     session_timeout: "float | None" = None,
     name: str = "pipeline",
-    vectorized: bool = True,
     queue_sample_interval: "float | None" = 0.02,
     queue_capacities: "dict[str, int] | None" = None,
     shm: "bool | None" = None,
@@ -765,7 +746,6 @@ def _run_pipeline_once(
                 filter_store=filter_out,
                 scratch_store=scratch_store,
                 backend_obj=backend_obj,
-                vectorized=vectorized,
                 ledger=ledger,
             )
             built.append(stage_graph)
@@ -1017,7 +997,6 @@ def build_placed_server_graph(
     filter_store: "ChunkStore | None" = None,
     scratch_store: "ChunkStore | None" = None,
     backend_obj: "Backend | None" = None,
-    vectorized: bool = True,
     align_results_store: "ChunkStore | None" = None,
     ledger: "RunLedger | None" = None,
 ) -> PlacedServerGraph:
@@ -1063,7 +1042,6 @@ def build_placed_server_graph(
             filter_store=filter_store,
             scratch_store=scratch_store,
             backend_obj=backend_obj,
-            vectorized=vectorized,
             name_queue=work_queue if head else None,
             varcall_passthrough=(stage == "varcall"),
             align_results_store=align_results_store,
@@ -1162,7 +1140,6 @@ def split_pipeline(
     filter_predicate=None,
     sort_store: "ChunkStore | None" = None,
     filter_store: "ChunkStore | None" = None,
-    vectorized: bool = True,
     ledger: "RunLedger | None" = None,
 ) -> "list[PlacedServerGraph]":
     """Cut the composed pipeline into per-server subgraphs per ``plan``.
@@ -1226,7 +1203,6 @@ def split_pipeline(
             else None,
             backend_obj=backend_for(placement.server) if backend_for
             else None,
-            vectorized=vectorized,
             align_results_store=(
                 align_results_store_for(placement.server)
                 if align_results_store_for else None

@@ -11,8 +11,9 @@ unlike row-oriented SAM/BAM sorting — only the key column plus compact
 row payloads travel through the sort, and records never leave their
 columnar encoding (Table 2's advantage).
 
-Two fast paths ride on the columnar layout (scalar reference paths
-remain and are equivalence-tested):
+Two fast paths ride on the columnar layout (the scalar ``list.sort``
+and ``heapq.merge`` remain as the fallback for keys that do not pack,
+and the fast paths are equivalence-tested against them):
 
 * run sorts extract keys into numpy arrays and apply one stable
   ``np.argsort`` permutation instead of a tuple-comparison ``list.sort``
@@ -89,11 +90,8 @@ class SortConfig:
     #: backend worker when a *multi-worker* backend is supplied, else
     #: the single-kernel streaming ``heapq.merge`` (partitioning trades
     #: streamed emission for parallel merge compute, so it only pays
-    #: when workers can actually overlap).  Requires ``vectorized``.
+    #: when workers can actually overlap).
     merge_partitions: "int | None" = None
-    #: Use the numpy fast path for run sorts and the partitioned merge.
-    #: False forces the scalar reference implementation everywhere.
-    vectorized: bool = True
     #: Raw-scratch negotiation.  None = auto: spill in the raw
     #: (identity-codec) frame layout when the scratch store resolves to
     #: a local directory (see :func:`local_scratch_root`) so phase 2 can
@@ -134,7 +132,7 @@ class SortConfig:
         dataset, as decoded row tuples), so auto stays conservative and
         process pools opt in explicitly via ``merge_partitions``.
         """
-        if not self.vectorized or backend is None:
+        if backend is None:
             return 1
         if self.merge_partitions is not None:
             return max(1, self.merge_partitions)
@@ -174,63 +172,28 @@ def metadata_row_index(ordered_columns: "list[str]") -> int:
         return 1
 
 
-def _sorted_rows(
-    order: str, rows: "list[tuple]", vectorized: bool, meta_index: int = 1
-) -> list:
-    """Sort rows by the configured order — numpy permutation fast path,
-    scalar ``list.sort`` reference (also the fallback for unpackable
-    keys).  Both are stable, so output order is identical."""
-    if vectorized:
-        perm = row_sort_permutation(order, rows, meta_index)
-        if perm is not None:
-            return [rows[i] for i in perm]
+def _sorted_rows(order: str, rows: "list[tuple]", meta_index: int) -> list:
+    """Sort rows by the configured order: the numpy permutation, or the
+    scalar ``list.sort`` for keys it cannot pack.  Both are stable, so
+    the output order is identical."""
+    perm = row_sort_permutation(order, rows, meta_index)
+    if perm is not None:
+        return [rows[i] for i in perm]
     rows = list(rows)
     rows.sort(key=sort_key_for(order, meta_index))
     return rows
-
-
-def sort_run_task(shared, payload) -> "dict[str, bytes]":
-    """Backend task: sort one superchunk run from raw chunk blobs.
-
-    Picklable both ways — input is the group's compressed column blobs,
-    output is one encoded superchunk blob per column — so phase 1 of the
-    external sort can fan out across processes.  The caller writes the
-    returned blobs to the scratch store (worker processes must not touch
-    caller-side stores).
-    """
-    order, ordered_columns, chunk_blobs, *rest = payload
-    scratch_level = rest[0] if rest else SCRATCH_CODEC_LEVEL
-    vectorized = rest[1] if len(rest) > 1 else True
-    rows: list[tuple] = []
-    for blobs in chunk_blobs:
-        column_data = [read_chunk(blobs[column]).records
-                       for column in ordered_columns]
-        rows.extend(zip(*column_data))
-    rows = _sorted_rows(order, rows, vectorized,
-                        metadata_row_index(ordered_columns))
-    codec = leveled_codec("gzip", scratch_level)
-    out: dict[str, bytes] = {}
-    for c_index, column in enumerate(ordered_columns):
-        records = [row[c_index] for row in rows]
-        out[column] = write_chunk(
-            records, record_type_for_column(column), codec=codec
-        )
-    return out
 
 
 def sort_rows_task(shared, payload) -> "list[tuple]":
     """Backend task: sort one run's rows that are already in memory.
 
     The streaming sort-run kernel uses this when rows arrived through a
-    pipeline queue (no blobs to decode); :func:`sort_run_task` is the
-    from-blob variant the eager path fans out.  Both the numpy
-    permutation and the scalar ``list.sort`` are stable, so output is
-    identical to sorting the same rows anywhere else.
+    pipeline queue (no blobs to decode); :func:`sort_run_spill_task` is
+    the from-blob variant the eager path fans out.  The sort is stable,
+    so output is identical to sorting the same rows anywhere else.
     """
-    order, rows, *rest = payload
-    vectorized = rest[0] if rest else True
-    meta_index = rest[1] if len(rest) > 1 else 1
-    return _sorted_rows(order, list(rows), vectorized, meta_index)
+    order, rows, meta_index = payload
+    return _sorted_rows(order, list(rows), meta_index)
 
 
 # ---------------------------------------------------------------------------
@@ -633,25 +596,25 @@ def store_run_spill(scratch: ChunkStore, run_index: int,
 def sort_run_spill_task(shared, payload) -> dict:
     """Backend task: sort one superchunk run and encode its spill.
 
-    The spill-locality successor of :func:`sort_run_task`: same decode
-    and sort, but the encoded result is partition-aware (see
-    :func:`encode_run_spill`).  Picklable both ways; the caller writes
-    the returned blobs via :func:`store_run_spill`.
+    Input is the group's compressed column blobs, so phase 1 of the
+    external sort can fan out across processes; the encoded result is
+    partition-aware (see :func:`encode_run_spill`).  Picklable both
+    ways; the caller writes the returned blobs via
+    :func:`store_run_spill` (worker processes must not touch caller-side
+    stores).
     """
-    (order, ordered_columns, chunk_blobs, scratch_level, vectorized,
-     boundaries, partitions, *rest) = payload
-    scratch_codec = rest[0] if rest else "gzip"
+    (order, ordered_columns, chunk_blobs, scratch_level, boundaries,
+     partitions, scratch_codec) = payload
     rows: "list[tuple]" = []
     for blobs in chunk_blobs:
         column_data = [read_chunk(blobs[column]).records
                        for column in ordered_columns]
         rows.extend(zip(*column_data))
     meta_index = metadata_row_index(ordered_columns)
-    rows = _sorted_rows(order, rows, vectorized, meta_index)
+    rows = _sorted_rows(order, rows, meta_index)
     return encode_run_spill(
         rows, order, ordered_columns, scratch_level,
-        boundaries, partitions if vectorized else 1, meta_index,
-        scratch_codec,
+        boundaries, partitions, meta_index, scratch_codec,
     )
 
 
@@ -664,8 +627,7 @@ def merge_partition_task(shared, payload) -> "list[tuple]":
     ``heapq.merge``'s tie-break) reproduces the k-way merge for this
     range; partitions concatenated in key order equal the full merge.
     """
-    order, rows_slices, *rest = payload
-    meta_index = rest[0] if rest else 1
+    order, rows_slices, meta_index = payload
     flat = [row for rows in rows_slices for row in rows]
     perm = row_sort_permutation(order, flat, meta_index)
     if perm is None:
@@ -730,11 +692,10 @@ def sort_dataset(
     store.  Phase 2 k-way-merges the runs and emits final chunks.
 
     ``backend`` (a :class:`~repro.dataflow.backends.Backend`) fans the
-    independent phase-1 run sorts out across workers and — with the
-    vectorized fast path — splits phase 2 into partitioned merge kernels
-    (see :data:`SortConfig.merge_partitions`); ``None`` keeps the
-    sequential single-kernel path.  Output bytes are identical either
-    way.
+    independent phase-1 run sorts out across workers and splits phase 2
+    into partitioned merge kernels (see
+    :data:`SortConfig.merge_partitions`); ``None`` keeps the sequential
+    single-kernel path.  Output bytes are identical either way.
 
     ``counters`` (optional dict) accumulates the memory-plane
     accounting: ``spill_view_bytes``/``decode_copies`` from spill
@@ -784,7 +745,6 @@ def sort_dataset(
                         for i in group
                     ],
                     config.scratch_codec_level,
-                    config.vectorized,
                     boundaries,
                     partitions,
                     scratch_codec,
@@ -1085,7 +1045,7 @@ def _write_run(
             for column in ordered_columns
         ]
         rows.extend(zip(*column_data))
-    rows = _sorted_rows(config.order, rows, config.vectorized,
+    rows = _sorted_rows(config.order, rows,
                         metadata_row_index(ordered_columns))
     # A superchunk is stored as one jumbo chunk per column.
     entry = ChunkEntry(f"superchunk-{run_index}", 0, len(rows))

@@ -557,7 +557,6 @@ def build_sort_graph(
             backend_handle,
             chunks_per_superchunk=config.chunks_per_superchunk,
             scratch_codec_level=config.scratch_codec_level,
-            vectorized=config.vectorized,
             # Partitioned merges read partition-spilled runs: each
             # phase-2 kernel decodes only its own key range (locality).
             merge_partitions=merge_partitions,
@@ -599,7 +598,6 @@ def build_dupmark_graph(
     reader_nodes: int = 2,
     parser_nodes: int = 2,
     stage_name: str = "dupmark",
-    vectorized: bool = True,
     name_queue: "Queue | None" = None,
     missing_ok=None,
 ) -> StageGraph:
@@ -658,7 +656,7 @@ def build_dupmark_graph(
         inlet = q_ordered
 
     q_out = g.queue("stage_out", 2)
-    node = DupmarkNode(store, backend_handle, vectorized=vectorized)
+    node = DupmarkNode(store, backend_handle)
     g.add(node, input=inlet, output=q_out)
     return StageGraph(
         name=stage_name, graph=g, source=source, sink=q_out,
@@ -677,7 +675,6 @@ def build_varcall_graph(
     reader_nodes: int = 2,
     parser_nodes: int = 2,
     stage_name: str = "varcall",
-    vectorized: bool = True,
     name_queue: "Queue | None" = None,
     passthrough: bool = False,
 ) -> StageGraph:
@@ -725,7 +722,7 @@ def build_varcall_graph(
         source = inlet
 
     node = VarCallNode(reference, config=config,
-                       backend_handle=backend_handle, vectorized=vectorized)
+                       backend_handle=backend_handle)
     sink: "Queue | None" = None
     if passthrough:
         sink = g.queue("stage_out", 2)

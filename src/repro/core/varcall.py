@@ -122,8 +122,9 @@ def pileup_dataset(
     """Build pileup columns over an aligned (ideally sorted) dataset.
 
     This is the *scalar reference* implementation (dict-of-Counter
-    columns); :func:`pileup_dataset_arrays` is the vectorized fast path
-    that :func:`call_variants` uses by default.
+    columns); :func:`pileup_dataset_arrays` is the columnar fast path
+    that :func:`call_variants` runs, falling back to this one only for
+    input the columnar encoding cannot represent.
 
     ``backend`` (a :class:`~repro.dataflow.backends.Backend`) fans the
     per-chunk pileups out across workers; ``None`` keeps the sequential
@@ -257,27 +258,26 @@ def call_variants(
     reference: ReferenceGenome,
     config: "VarCallConfig | None" = None,
     backend=None,
-    vectorized: bool = True,
 ) -> list[VariantRecord]:
     """Call SNPs against the reference; returns VCF records in order.
 
     ``backend`` fans the pileup phase out per chunk (the calling pass
-    itself is a cheap sorted sweep and stays on the caller).
-    ``vectorized`` selects the numpy fast path (the default); the scalar
-    reference path produces byte-identical VCF output and remains the
-    ground truth the fast path is equivalence-tested against.
+    itself is a cheap sorted sweep and stays on the caller).  The pileup
+    runs on the columnar fast path; input that path cannot represent
+    (see :class:`~repro.core.columnar.ColumnarFallback`) reruns on the
+    scalar reference, :func:`pileup_dataset` + :func:`call_from_pileup`,
+    whose VCF output the fast path is equivalence-tested against.
     """
-    config = config or VarCallConfig()
-    if vectorized:
-        from repro.core.columnar import ColumnarFallback, call_from_pileup_arrays
+    from repro.core.columnar import ColumnarFallback, call_from_pileup_arrays
 
-        try:
-            pile = pileup_dataset_arrays(dataset, config, backend=backend)
-            return call_from_pileup_arrays(pile, reference, config)
-        except ColumnarFallback:
-            # Input the columnar encoding cannot represent exactly (e.g.
-            # lowercase/IUPAC base bytes) or efficiently (sparse-and-wide
-            # coverage): rerun on the scalar reference path.
-            pass
+    config = config or VarCallConfig()
+    try:
+        pile = pileup_dataset_arrays(dataset, config, backend=backend)
+        return call_from_pileup_arrays(pile, reference, config)
+    except ColumnarFallback:
+        # Input the columnar encoding cannot represent exactly (e.g.
+        # lowercase/IUPAC base bytes) or efficiently (sparse-and-wide
+        # coverage): rerun on the scalar reference path.
+        pass
     columns = pileup_dataset(dataset, config, backend=backend)
     return call_from_pileup(columns, reference, config)

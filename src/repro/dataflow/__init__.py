@@ -29,7 +29,6 @@ from repro.dataflow.node import (
     Node,
     NodeStats,
 )
-from repro.dataflow.pools import Buffer, BufferPool, ObjectPool
 from repro.dataflow.queues import Queue
 from repro.dataflow.resources import Handle, ResourceManager
 from repro.dataflow.session import NodeContext, Session, SessionResult
@@ -43,8 +42,6 @@ __all__ = [
     "ThreadBackend",
     "as_backend",
     "make_backend",
-    "Buffer",
-    "BufferPool",
     "BusyCounter",
     "ChunkCompletion",
     "CollectSink",
@@ -58,7 +55,6 @@ __all__ = [
     "Node",
     "NodeContext",
     "NodeStats",
-    "ObjectPool",
     "PartitionedExecutor",
     "PipelineAborted",
     "PipelineError",

@@ -262,9 +262,7 @@ class SerialBackend(Backend):
 class ThreadBackend(Backend):
     """The paper's fine-grain thread executor behind the backend API.
 
-    Either owns a fresh :class:`Executor` or wraps an existing one
-    (``executor=``) without taking ownership — the latter is how legacy
-    code that registered a raw ``Executor`` resource keeps working.
+    Owns its :class:`Executor`; :meth:`shutdown` stops it.
     """
 
     name = "thread"
@@ -273,28 +271,16 @@ class ThreadBackend(Backend):
         self,
         workers: int = 4,
         name: str = "thread-backend",
-        executor: "Executor | None" = None,
         busy_counter: "BusyCounter | None" = None,
         queue_depth: "int | None" = None,
     ):
         super().__init__()
-        if executor is not None:
-            if busy_counter is not None or queue_depth is not None:
-                raise ValueError(
-                    "busy_counter/queue_depth cannot be applied to an "
-                    "existing executor; configure them on the Executor "
-                    "itself"
-                )
-            self.executor = executor
-            self._owns_executor = False
-        else:
-            self.executor = Executor(
-                workers,
-                name=f"{name}.executor",
-                queue_depth=queue_depth,
-                busy_counter=busy_counter,
-            )
-            self._owns_executor = True
+        self.executor = Executor(
+            workers,
+            name=f"{name}.executor",
+            queue_depth=queue_depth,
+            busy_counter=busy_counter,
+        )
         self.workers = self.executor.num_threads
 
     @property
@@ -322,8 +308,7 @@ class ThreadBackend(Backend):
         return results
 
     def shutdown(self, wait: bool = True) -> None:
-        if self._owns_executor:
-            self.executor.shutdown(wait=wait)
+        self.executor.shutdown(wait=wait)
 
 
 # --------------------------------------------------------------------------
@@ -796,16 +781,9 @@ def make_backend(
 
 
 def as_backend(resource: Any) -> Backend:
-    """Adapt a session resource into a :class:`Backend`.
-
-    Graphs built before the backend abstraction registered a raw
-    :class:`Executor` under the ``"executor"`` handle; kernels adapt it
-    on the fly so both old and new resources work.
-    """
+    """Check that a session resource is a :class:`Backend` and return it."""
     if isinstance(resource, Backend):
         return resource
-    if isinstance(resource, Executor):
-        return ThreadBackend(executor=resource)
     raise TypeError(
         f"cannot use {type(resource).__name__} as an execution backend"
     )

@@ -38,8 +38,7 @@ class NodeContext:
 
         Compute kernels are backend-agnostic: the registry may hold any
         :class:`~repro.dataflow.backends.Backend` (serial, thread,
-        process) or a legacy raw :class:`~repro.dataflow.executor.
-        Executor`, which is adapted on the fly.  In-process backends
+        process).  In-process backends
         additionally see the whole resource registry as their shared
         mapping, so task functions can look up resources by handle.
         """

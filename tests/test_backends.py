@@ -115,24 +115,18 @@ class TestMakeBackend:
         backend = SerialBackend()
         assert make_backend(backend) is backend
 
-    def test_as_backend_wraps_legacy_executor(self):
-        executor = Executor(2)
-        try:
-            backend = as_backend(executor)
-            assert isinstance(backend, ThreadBackend)
-            assert backend.executor is executor
-            assert backend.run_chunk(square_task, [4]) == [16]
-            # Wrapper does not own the executor: shutdown leaves it alive.
-            backend.shutdown()
-            assert backend.run_chunk(square_task, [5]) == [25]
-        finally:
-            executor.shutdown()
-
     def test_as_backend_passthrough_and_rejection(self):
         backend = SerialBackend()
         assert as_backend(backend) is backend
         with pytest.raises(TypeError):
             as_backend(object())
+        # A raw Executor is the thread backend's engine, not a backend.
+        executor = Executor(2)
+        try:
+            with pytest.raises(TypeError):
+                as_backend(executor)
+        finally:
+            executor.shutdown()
 
 
 class TestSerialBackend:

@@ -10,6 +10,8 @@ pre-marked-duplicate records) and across all three execution backends.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,10 +21,12 @@ from repro.agd.dataset import AGDDataset
 from repro.agd.manifest import Manifest
 from repro.align.result import AlignmentResult, cigar_operations, make_cigar
 from repro.core import columnar
+from repro.core import sort as sort_mod
 from repro.core.dupmark import (
     DupmarkStats,
     fragment_signature,
     mark_duplicates,
+    mark_duplicates_reference,
     scan_signatures,
 )
 from repro.core.sort import SortConfig, sort_dataset, sort_key_for
@@ -297,12 +301,35 @@ def _store_blobs(store: MemoryStore) -> dict:
     return {key: store.get(key) for key in store.keys()}
 
 
+def scalar_sort_dataset(dataset, output_store, config: SortConfig):
+    """The scalar sort reference: ``list.sort`` run sorts and one
+    ``heapq.merge``, reached through the unpackable-key fallback."""
+    calls: list = []
+
+    def unpackable(*args):
+        calls.append(args)
+        return None
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sort_mod, "row_sort_permutation", unpackable)
+        sorted_ds = sort_dataset(dataset, output_store,
+                                 replace(config, merge_partitions=1))
+    assert calls, "the sort never reached its list.sort fallback"
+    return sorted_ds
+
+
+def scalar_call_variants(dataset, reference, config=None):
+    """The scalar varcall reference: dict-of-Counter pileup + sweep."""
+    return call_from_pileup(pileup_dataset(dataset, config), reference,
+                            config)
+
+
 @pytest.mark.parametrize("backend_kind", ["serial", "thread", "process"])
 class TestBackendEquivalence:
     def test_sort_bytes_identical(self, aligned_dataset, backend_kind):
         scalar_store = MemoryStore()
-        sort_dataset(aligned_dataset, scalar_store,
-                     SortConfig(chunks_per_superchunk=3, vectorized=False))
+        scalar_sort_dataset(aligned_dataset, scalar_store,
+                            SortConfig(chunks_per_superchunk=3))
         backend = make_backend(backend_kind, workers=2)
         try:
             vector_store = MemoryStore()
@@ -318,12 +345,11 @@ class TestBackendEquivalence:
 
     def test_dupmark_bytes_identical(self, aligned_dataset, backend_kind):
         scalar_ds = _copy_dataset(aligned_dataset)
-        scalar_stats = mark_duplicates(scalar_ds, vectorized=False)
+        scalar_stats = mark_duplicates_reference(scalar_ds)
         vector_ds = _copy_dataset(aligned_dataset)
         backend = make_backend(backend_kind, workers=2)
         try:
-            vector_stats = mark_duplicates(vector_ds, backend=backend,
-                                           vectorized=True)
+            vector_stats = mark_duplicates(vector_ds, backend=backend)
         finally:
             backend.shutdown()
         assert _store_blobs(vector_ds.store) == _store_blobs(scalar_ds.store)
@@ -337,12 +363,11 @@ class TestBackendEquivalence:
         from repro.formats.vcf import write_vcf
 
         config = VarCallConfig(min_depth=2)
-        scalar = call_variants(aligned_dataset, reference, config,
-                               vectorized=False)
+        scalar = scalar_call_variants(aligned_dataset, reference, config)
         backend = make_backend(backend_kind, workers=2)
         try:
             vector = call_variants(aligned_dataset, reference, config,
-                                   backend=backend, vectorized=True)
+                                   backend=backend)
         finally:
             backend.shutdown()
         assert vector == scalar
@@ -372,8 +397,8 @@ class TestPartitionedMerge:
                                          timeout=timeout)
 
         single_store = MemoryStore()
-        sort_dataset(aligned_dataset, single_store,
-                     SortConfig(chunks_per_superchunk=3, vectorized=False))
+        scalar_sort_dataset(aligned_dataset, single_store,
+                            SortConfig(chunks_per_superchunk=3))
         backend = CountingBackend()
         part_store = MemoryStore()
         scratch = MemoryStore()
@@ -403,8 +428,8 @@ class TestPartitionedMerge:
             MemoryStore(), chunk_size=10,
         )
         single = MemoryStore()
-        sort_dataset(dataset, single,
-                     SortConfig(chunks_per_superchunk=2, vectorized=False))
+        scalar_sort_dataset(dataset, single,
+                            SortConfig(chunks_per_superchunk=2))
         backend = make_backend("serial")
         part = MemoryStore()
         sort_dataset(dataset, part,
@@ -545,13 +570,63 @@ class TestColumnarFallback:
              "qual": [b"IIIIII"] * n},
             MemoryStore(), chunk_size=5,
         )
-        expected = call_variants(dataset, reference, vectorized=False)
+        expected = scalar_call_variants(dataset, reference)
 
         def boom(*args, **kwargs):
             raise ColumnarFallback("forced")
 
         monkeypatch.setattr(varcall_mod, "pileup_dataset_arrays", boom)
-        assert call_variants(dataset, reference, vectorized=True) == expected
+        assert call_variants(dataset, reference) == expected
+
+    @pytest.mark.parametrize("backend_kind", ["serial", "thread", "process"])
+    def test_streaming_varcall_falls_back_mid_run(self, reference,
+                                                  backend_kind, monkeypatch):
+        """A streaming varcall stage demotes to the scalar pileup when a
+        chunk falls outside the columnar encoding, carrying over what it
+        already piled: the calls equal the scalar reference's.
+
+        The trigger is sparse-wide coverage (reads ~50 Mbp apart on one
+        contig); lowercase or IUPAC bases cannot reach the stage from a
+        stored dataset, because the bases column stores 3-bit codes."""
+        from repro.core.ops import VarCallNode
+        from repro.core.pipelines import run_pipeline
+
+        contig = reference.contigs[0].sequence
+        n, read_len, far = 80, 12, 50_000_000
+        results, bases = [], []
+        for i in range(n):
+            start = 0 if i < n // 2 else far
+            position = start + i % 4
+            read = bytearray(contig[position % 1000:][:read_len])
+            snp = 5 - i % 4  # one SNP site per region
+            read[snp] = ord("T") if read[snp] != ord("T") else ord("G")
+            results.append(AlignmentResult(
+                flag=0, mapq=60, contig_index=0, position=position,
+                cigar=f"{read_len}M".encode()))
+            bases.append(bytes(read))
+        dataset = AGDDataset.create(
+            "mid-run-fallback",
+            {"results": results, "bases": bases,
+             "qual": [b"I" * read_len] * n},
+            MemoryStore(), chunk_size=10,
+        )
+        config = VarCallConfig(min_depth=2)
+        expected = scalar_call_variants(dataset, reference, config)
+        assert expected
+
+        demotions: list = []
+        demote = VarCallNode._demote_to_scalar
+
+        def spy(node):
+            demotions.append(node)
+            demote(node)
+
+        monkeypatch.setattr(VarCallNode, "_demote_to_scalar", spy)
+        outcome = run_pipeline(dataset, ("varcall",), reference=reference,
+                               varcall_config=config, backend=backend_kind,
+                               workers=2)
+        assert len(demotions) == 1
+        assert outcome.variants == expected
 
     def test_cigar_read_overrun_raises(self):
         """A non-last record whose CIGAR overruns its read must raise,
@@ -628,36 +703,14 @@ class TestColumnarFallback:
             MemoryStore(), chunk_size=8,
         )
         scalar_store = MemoryStore()
-        sort_dataset(dataset, scalar_store,
-                     SortConfig(order="metadata", vectorized=False))
+        scalar_sort_dataset(dataset, scalar_store,
+                            SortConfig(order="metadata"))
         vector_store = MemoryStore()
         sorted_ds = sort_dataset(dataset, vector_store,
                                  SortConfig(order="metadata"))
         assert _store_blobs(vector_store) == _store_blobs(scalar_store)
         assert sorted_ds.read_column("metadata") == sorted(metas)
         assert verify_sorted(sorted_ds, order="metadata")
-
-    def test_run_pipeline_respects_sort_config_vectorized(
-            self, aligned_dataset, monkeypatch):
-        """An explicit SortConfig(vectorized=False) survives
-        run_pipeline's default vectorized=True."""
-        import repro.core.pipelines as pipelines_mod
-        from repro.core.pipelines import run_pipeline
-
-        captured = {}
-        original = pipelines_mod.build_sort_graph
-
-        def spy(manifest, output_store, **kwargs):
-            captured["config"] = kwargs.get("config")
-            return original(manifest, output_store, **kwargs)
-
-        monkeypatch.setattr(pipelines_mod, "build_sort_graph", spy)
-        run_pipeline(
-            aligned_dataset, stages=("sort",),
-            sort_config=SortConfig(vectorized=False),
-            backend="serial",
-        )
-        assert captured["config"].vectorized is False
 
 
 class TestQueueTelemetry:

@@ -11,9 +11,11 @@ different (but reproducible) kill site.
 
 from __future__ import annotations
 
+import gc
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -351,14 +353,21 @@ class TestRunsCli:
             "--ledger-dir", str(tmp_path / "runs"), "--run-id", "r1",
         ])
         assert rc == 0
-        # Same ledger, different stage list: refused up front.
-        rc = main([
-            "pipeline", str(tmp_path / "ds"), str(tmp_path / "out2"),
-            "--reference", str(root / "ref.fa"),
-            "--stages", "align,sort,dupmark", "--backend", "serial",
-            "--ledger-dir", str(tmp_path / "runs"), "--resume",
-        ])
+        # Same ledger, different stage list: refused up front, and the
+        # reopened ledger file is closed on that error exit too.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            rc = main([
+                "pipeline", str(tmp_path / "ds"), str(tmp_path / "out2"),
+                "--reference", str(root / "ref.fa"),
+                "--stages", "align,sort,dupmark", "--backend", "serial",
+                "--ledger-dir", str(tmp_path / "runs"), "--resume",
+            ])
+            gc.collect()
         assert rc == 2
+        leaks = [w for w in caught
+                 if issubclass(w.category, ResourceWarning)]
+        assert not leaks, [str(w.message) for w in leaks]
 
 
 # ------------------------------------------------------- atomic writes

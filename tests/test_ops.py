@@ -14,7 +14,7 @@ from repro.core.ops import (
     SamWriterNode,
 )
 from repro.core.subgraphs import AlignGraphConfig, build_align_graph
-from repro.dataflow.executor import Executor
+from repro.dataflow.backends import ThreadBackend
 from repro.dataflow.queues import Queue
 from repro.dataflow.resources import ResourceManager
 from repro.dataflow.session import NodeContext, Session
@@ -63,7 +63,7 @@ class TestAlignerNode:
     def test_aligns_chunk(self, dataset, snap_aligner, reads):
         resources = ResourceManager()
         resources.register("aligner", snap_aligner)
-        executor = Executor(2)
+        executor = ThreadBackend(workers=2)
         resources.register("executor", executor)
         node = AlignerNode("aligner", "executor", subchunk_size=16)
         entry = dataset.manifest.chunks[0]
@@ -82,7 +82,7 @@ class TestAlignerNode:
         """Results identical regardless of subchunk size (Figure 4)."""
         resources = ResourceManager()
         resources.register("aligner", snap_aligner)
-        executor = Executor(3)
+        executor = ThreadBackend(workers=3)
         resources.register("executor", executor)
         entry = dataset.manifest.chunks[0]
         outputs = []
